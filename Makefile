@@ -62,7 +62,7 @@ serve-smoke:
 # serve-bench measures the serving path: it boots a bootstrap-trained hsserve
 # on a loopback port, drives it with cmd/hsload (concurrent single predicts —
 # the unbatched seed wire shape — then multi-item batch posts answered in
-# contiguous PredictBatch sweeps), and writes BENCH_pr8.json with throughput,
+# one batcher flush), and writes BENCH_pr8.json with throughput,
 # p50/p99/p999 latency, and the batch-vs-single speedup. The server is always
 # torn down, even when the load run fails.
 serve-bench:

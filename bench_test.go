@@ -548,11 +548,11 @@ func BenchmarkGenerationFitness(b *testing.B) {
 	})
 }
 
-// BenchmarkModelPredict measures the serving hot path in scalar and batch
-// form with allocation accounting. One warm-up call grows the caller-owned
-// scratch to its high-water mark; after that every prediction must report
-// 0 allocs/op (the batch form additionally answers all rows in a single
-// contiguous matrix-vector sweep).
+// BenchmarkModelPredict measures the serving hot path with allocation
+// accounting: the scalar regression kernel, and the snapshot's batch entry
+// (a loop over the family's Predict) on the same validation rows. One
+// warm-up call grows the scratch to its high-water mark; after that every
+// prediction must report 0 allocs/op.
 func BenchmarkModelPredict(b *testing.B) {
 	w := workspace()
 	m, err := w.Model()
@@ -576,13 +576,15 @@ func BenchmarkModelPredict(b *testing.B) {
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
-		var scratch regress.PredictScratch
+		snap := m.Snapshot()
 		out := make([]float64, len(rows))
-		model.PredictBatchWith(&scratch, rows, out)
+		if err := snap.PredictBatch(rows, out); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			model.PredictBatchWith(&scratch, rows, out)
+			snap.PredictBatch(rows, out)
 		}
 		b.ReportMetric(float64(len(rows)), "preds/op")
 	})

@@ -13,7 +13,7 @@
 //	sharded  per-CPU shards, coalescing enabled, still one prediction per
 //	         submission
 //	batch    per-CPU shards, whole client batches per submission
-//	         (Server.PredictMany), answered in contiguous PredictBatch sweeps
+//	         (Server.PredictMany), answered in one batcher flush
 //
 // The report records each scenario's throughput and latency percentiles plus
 // the batch-vs-seed speedup. With -addr it instead drives a live hsserve over
@@ -185,7 +185,7 @@ func runInProcess(logger *log.Logger, rep *report, tr *hsmodel.Trainer, conc int
 	batchRes, err := driveServer(logger, rep, "batch", serve.Config{
 		Trainer: tr, MaxBatch: 4, QueueDepth: 8 * conc, MaxWait: 200 * time.Microsecond,
 	}, conc, duration, batch, xs, hws,
-		fmt.Sprintf("per-CPU shards, %d predictions per PredictMany submission, contiguous PredictBatch sweeps", batch))
+		fmt.Sprintf("per-CPU shards, %d predictions per PredictMany submission, answered in one batcher flush", batch))
 	if err != nil {
 		return err
 	}
@@ -297,7 +297,7 @@ func runHTTP(logger *log.Logger, rep *report, base, modelID string, conc int, du
 		note string
 	}{
 		{"http_single", single, fmt.Sprintf("one POST %s/predict per prediction: the wire shape of the unsharded/unbatched seed serving path", route)},
-		{"http_batch", many, fmt.Sprintf("POST %s/predict:batch, %d predictions per request, answered as one multi-item job in contiguous PredictBatch sweeps", route, batch)},
+		{"http_batch", many, fmt.Sprintf("POST %s/predict:batch, %d predictions per request, answered as one multi-item job in one batcher flush", route, batch)},
 	} {
 		res, err := driveHTTP(newClient, sc.call, conc, duration, sc.note)
 		if err != nil {

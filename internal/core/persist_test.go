@@ -44,6 +44,24 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("round-trip prediction %v, want %v", got, want)
 		}
 	}
+	// Every rung name parses back, and every rung survives Save/LoadSnapshot.
+	orig := m.Snapshot()
+	for _, r := range []Rung{RungNone, RungGenetic, RungStepwise, RungLastGood, RungFamily} {
+		if got := parseRung(r.String()); got != r {
+			t.Errorf("parseRung(%q) = %v, want %v", r.String(), got, r)
+		}
+		s := newSnapshot(orig.Family(), orig.FamilyModel(), nil, testShardLen, r, orig.TrainedRows())
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Rung() != r {
+			t.Errorf("rung %v round-tripped as %v", r, back.Rung())
+		}
+	}
 	// A trainer adopting the snapshot serves the same predictions.
 	fresh := NewTrainer(nil)
 	fresh.Adopt(loaded)
@@ -111,10 +129,10 @@ func saveValid(t *testing.T) string {
 	return path
 }
 
-// legacyModel decodes the spline regression out of a current-format file's
-// payload, so compat tests can rebuild pre-family (version ≤ 3) files from
-// the same fitted model.
-func legacyModel(t *testing.T, good []byte) (SavedModel, *regress.Model) {
+// payloadModel decodes the spline regression out of a current-format file's
+// payload, so failure-mode tests can rebuild damaged files from the same
+// fitted model.
+func payloadModel(t *testing.T, good []byte) (SavedModel, *regress.Model) {
 	t.Helper()
 	var saved SavedModel
 	if err := json.Unmarshal(good, &saved); err != nil {
@@ -127,46 +145,20 @@ func legacyModel(t *testing.T, good []byte) (SavedModel, *regress.Model) {
 	return saved, &model
 }
 
-// TestLoadVersion2Compat: version-2 files (no rung/trained_rows metadata)
-// must still load, with the provenance defaulting to zero values.
-func TestLoadVersion2Compat(t *testing.T) {
-	good, err := os.ReadFile(saveValid(t))
+// legacyFile builds a pre-family (version 2 or 3) file: the bare spline
+// regression under "model", with no family and no payload.
+func legacyFile(t *testing.T, version int, model *regress.Model) []byte {
+	t.Helper()
+	data, err := json.Marshal(map[string]any{
+		"version":   version,
+		"shard_len": testShardLen,
+		"checksum":  "0",
+		"model":     model,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved, model := legacyModel(t, good)
-	sum, err := modelChecksum(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := SavedModel{
-		Version:  2,
-		ShardLen: saved.ShardLen,
-		Checksum: sum,
-		Model:    model,
-	}
-	data, err := json.Marshal(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := filepath.Join(t.TempDir(), "v2.json")
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSnapshot(p)
-	if err != nil {
-		t.Fatalf("version-2 file refused: %v", err)
-	}
-	if loaded.ShardLen() != saved.ShardLen {
-		t.Errorf("shard length %d, want %d", loaded.ShardLen(), saved.ShardLen)
-	}
-	if loaded.Rung() != RungNone || loaded.TrainedRows() != 0 {
-		t.Errorf("v2 provenance should default to zero: rung=%v rows=%d",
-			loaded.Rung(), loaded.TrainedRows())
-	}
-	if loaded.Model() == nil {
-		t.Error("v2 load produced no model")
-	}
+	return data
 }
 
 // TestLoadFailureModes exercises every corruption class with the distinct
@@ -218,10 +210,19 @@ func TestLoadFailureModes(t *testing.T) {
 		}
 	})
 
+	// Version-2/3 files are refused by version before their body is read.
+	t.Run("version 2 file", func(t *testing.T) {
+		_, model := payloadModel(t, good)
+		p := write("v2.json", legacyFile(t, 2, model))
+		if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelVersion) {
+			t.Errorf("err = %v, want ErrModelVersion", err)
+		}
+	})
+
 	t.Run("incomplete legacy model", func(t *testing.T) {
 		p := write("empty3.json", []byte(`{"version":3,"shard_len":100}`))
-		if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelIncomplete) {
-			t.Errorf("err = %v, want ErrModelIncomplete", err)
+		if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelVersion) {
+			t.Errorf("err = %v, want ErrModelVersion", err)
 		}
 	})
 
@@ -249,33 +250,19 @@ func TestLoadFailureModes(t *testing.T) {
 	})
 
 	t.Run("wrong variable count legacy", func(t *testing.T) {
-		saved, model := legacyModel(t, good)
+		_, model := payloadModel(t, good)
 		model.Prep.Names = model.Prep.Names[:5]
 		model.Prep.Powers = model.Prep.Powers[:5]
-		sum, err := modelChecksum(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v3 := SavedModel{
-			Version:  3,
-			ShardLen: saved.ShardLen,
-			Checksum: sum,
-			Model:    model,
-		}
-		data, err := json.Marshal(v3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := write("shape.json", data)
-		if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelShape) {
-			t.Errorf("err = %v, want ErrModelShape", err)
+		p := write("shape.json", legacyFile(t, 3, model))
+		if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelVersion) {
+			t.Errorf("err = %v, want ErrModelVersion", err)
 		}
 	})
 
 	t.Run("wrong variable count family payload", func(t *testing.T) {
 		// A well-formed, correctly checksummed payload over the wrong
 		// variable space must be rejected by the family's Load validation.
-		saved, model := legacyModel(t, good)
+		saved, model := payloadModel(t, good)
 		model.Prep.Names = model.Prep.Names[:5]
 		model.Prep.Powers = model.Prep.Powers[:5]
 		payload, err := json.Marshal(model)
@@ -300,7 +287,7 @@ func TestLoadFailureModes(t *testing.T) {
 	t.Run("bad checksum", func(t *testing.T) {
 		// Flip one coefficient digit without touching the stored checksum:
 		// the payload no longer matches and LoadSnapshot must refuse it.
-		saved, model := legacyModel(t, good)
+		saved, model := payloadModel(t, good)
 		model.Coef[0] += 1e-3
 		payload, err := json.Marshal(model)
 		if err != nil {

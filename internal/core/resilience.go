@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"hsmodel/internal/family/spline"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/regress"
 )
@@ -26,8 +27,8 @@ const (
 	RungLastGood
 	// RungFamily: the model-family selection round succeeded — every
 	// registered family fitted and scored, winner published. This is the top
-	// rung whenever Trainer.Families is non-empty; the classic genetic rung
-	// takes its place when only the implicit spline family runs.
+	// rung whenever Trainer.Families is non-empty; RungGenetic takes its
+	// place when only the implicit spline family runs.
 	RungFamily
 )
 
@@ -100,7 +101,7 @@ type TrainReport struct {
 	SampleVersion uint64
 	SampleRows    int
 	// Family names the model family the episode published ("spline" on the
-	// classic and stepwise rungs). FamilyScores carries the per-family
+	// genetic and stepwise rungs). FamilyScores carries the per-family
 	// selection scores of a family-selection round, and FamilyErrors the
 	// families whose Fit failed mid-selection (skipped, never fatal to the
 	// episode while at least one family fits). Both are nil without a round.
@@ -189,8 +190,8 @@ func (m *Trainer) TrainResilient(ctx context.Context, r Resilience) (rep TrainRe
 			defer cancel()
 		}
 		if err := m.train(gctx, nil, cap); err == nil {
-			// The top rung is the selection round when families are
-			// registered, the classic genetic path otherwise; the published
+			// The top rung is RungFamily when families are registered and
+			// RungGenetic for the implicit spline round; the published
 			// snapshot knows which.
 			snap := m.Snapshot()
 			rep.Rung = snap.Rung()
@@ -262,6 +263,6 @@ func (m *Trainer) trainStepwise(ctx context.Context, budget int, cap capturedEva
 	m.mu.Lock()
 	m.population = res.Population
 	m.mu.Unlock()
-	m.publish(model, RungStepwise, cap.rows)
+	m.snap.Store(newSnapshot(spline.FamilyName, spline.Wrap(model), nil, m.ShardLen, RungStepwise, cap.rows))
 	return nil
 }

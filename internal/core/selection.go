@@ -30,13 +30,16 @@ type SelectionResult struct {
 	// the mean over applications of the median absolute percentage error on
 	// that application's validation rows (the trainer's CV metric, without
 	// the term penalty so structurally different families compare fairly).
+	// Nil for the trainer's implicit spline-only round, which scores nothing.
 	Scores map[string]float64
 	// Errors maps each family whose Fit failed to its error. A failing
 	// family is skipped, never aborts the round; the round errors only when
-	// every family fails or the context is cancelled.
+	// every family fails (the error then wraps ErrAllFamiliesFailed and each
+	// family's own error) or the context is cancelled.
 	Errors map[string]error
 	// Population is the spline family's final search population when it
-	// participated, preserved so the next Update can warm-start.
+	// participated, preserved so the next Update can warm-start. A round
+	// cancelled mid-fit still carries the spline family's partial population.
 	Population []genetic.Individual
 }
 
@@ -91,17 +94,20 @@ func SelectFamily(ctx context.Context, ds *regress.Dataset, fc FitnessConfig, st
 		Weights:     ev.weights,
 		ValRows:     ev.valRows,
 	}
-	return runSelection(ctx, fams, in)
+	return runSelection(ctx, fams, in, true)
 }
 
 // runSelection fits every family against one FitInput, scores the fitted
-// models on the shared validation rows, and picks the minimum. Exact score
-// ties (bit-equal float64s) are broken by a seeded draw over the tied names
-// in sorted order, so selection is deterministic in (families, FitInput).
-func runSelection(ctx context.Context, fams []family.Family, in family.FitInput) (*SelectionResult, error) {
-	sel := &SelectionResult{
-		Scores: make(map[string]float64, len(fams)),
-		Errors: make(map[string]error),
+// models on the shared validation rows (when score is set), and picks the
+// minimum. Exact score ties (bit-equal float64s) are broken by a seeded draw
+// over the tied names in sorted order, so selection is deterministic in
+// (families, FitInput). Without score there is nothing to compare, so fams
+// must hold one family. The result is never nil, even alongside an error:
+// it carries the per-family errors and any spline population.
+func runSelection(ctx context.Context, fams []family.Family, in family.FitInput, score bool) (*SelectionResult, error) {
+	sel := &SelectionResult{Errors: make(map[string]error)}
+	if score {
+		sel.Scores = make(map[string]float64, len(fams))
 	}
 	type candidate struct {
 		name  string
@@ -109,10 +115,10 @@ func runSelection(ctx context.Context, fams []family.Family, in family.FitInput)
 		score float64
 	}
 	var cands []candidate
+	allFailed := ErrAllFamiliesFailed
 	for _, f := range fams {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: family selection cancelled: %w", err)
-		}
+		// Families honor ctx themselves, so a dead context surfaces as a
+		// failed Fit below.
 		out, ferr := f.Fit(ctx, in)
 		if f.Name() == spline.FamilyName && out.Population != nil {
 			sel.Population = out.Population
@@ -122,17 +128,21 @@ func runSelection(ctx context.Context, fams []family.Family, in family.FitInput)
 				// A cancellation mid-fit aborts the whole round: scoring the
 				// remaining families against a half-done episode would
 				// publish a winner chosen on an unfair comparison.
-				return nil, fmt.Errorf("core: family selection cancelled: %w", ferr)
+				return sel, fmt.Errorf("core: family selection cancelled: %w", ferr)
 			}
 			sel.Errors[f.Name()] = ferr
+			allFailed = fmt.Errorf("%w; %w", allFailed, ferr)
 			continue
 		}
-		score := scoreFamilyModel(out.Model, in.Dataset, in.ValRows)
-		sel.Scores[f.Name()] = score
-		cands = append(cands, candidate{name: f.Name(), model: out.Model, score: score})
+		c := candidate{name: f.Name(), model: out.Model}
+		if score {
+			c.score = scoreFamilyModel(out.Model, in.Dataset, in.ValRows)
+			sel.Scores[c.name] = c.score
+		}
+		cands = append(cands, c)
 	}
 	if len(cands) == 0 {
-		return sel, ErrAllFamiliesFailed
+		return sel, allFailed
 	}
 
 	best := cands[0]

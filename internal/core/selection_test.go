@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hsmodel/internal/family"
+	"hsmodel/internal/family/residual"
 	"hsmodel/internal/family/spline"
 	"hsmodel/internal/genetic"
 )
@@ -20,11 +21,6 @@ type constModel struct {
 }
 
 func (m constModel) Predict([]float64) float64 { return m.val }
-func (m constModel) PredictBatch(rows [][]float64, out []float64) {
-	for i := range rows {
-		out[i] = m.val
-	}
-}
 func (m constModel) Describe() family.Description {
 	return family.Description{Family: m.fam, Spec: "const"}
 }
@@ -138,8 +134,49 @@ func TestFamilySelectionSplineOnlyMatchesClassicPath(t *testing.T) {
 			t.Fatalf("coef %d diverges: %v vs %v", i, want.Coef[i], got.Coef[i])
 		}
 	}
-	if classic.Snapshot().Rung() != RungGenetic {
-		t.Errorf("classic rung %v, want genetic", classic.Snapshot().Rung())
+
+	// Pin the published rung strings: the implicit round is "genetic" with
+	// no scores and no Selection, an explicit round is "family" with the
+	// winner's scores, and the stepwise floor is "stepwise".
+	floor := newSmallModeler(t)
+	floor.trainMu.Lock()
+	cap, err := floor.captureEvaluator()
+	if err == nil {
+		err = floor.trainStepwise(context.Background(), 30, cap)
+	}
+	floor.trainMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		m         *Trainer
+		rung      string
+		selection bool
+	}{
+		{"implicit", classic, "genetic", false},
+		{"explicit", selected, "family", true},
+		{"stepwise", floor, "stepwise", false},
+	} {
+		snap := c.m.Snapshot()
+		if got := snap.Rung().String(); got != c.rung {
+			t.Errorf("%s: rung %q, want %q", c.name, got, c.rung)
+		}
+		if snap.Family() != spline.FamilyName {
+			t.Errorf("%s: family %q, want spline", c.name, snap.Family())
+		}
+		if sel := c.m.Selection(); (sel != nil) != c.selection {
+			t.Errorf("%s: Selection() = %+v, want present=%v", c.name, sel, c.selection)
+		}
+		scores := snap.FamilyScores()
+		if !c.selection && scores != nil {
+			t.Errorf("%s: scores %v, want nil", c.name, scores)
+		}
+		if c.selection {
+			if _, ok := scores[spline.FamilyName]; !ok || len(scores) != 1 {
+				t.Errorf("%s: scores %v, want the spline winner's score only", c.name, scores)
+			}
+		}
 	}
 }
 
@@ -232,6 +269,12 @@ func TestFamilySelectionAllFailDegradesToStepwise(t *testing.T) {
 	if len(rep.FamilyErrors) != 2 {
 		t.Errorf("recorded %d family errors, want 2: %v", len(rep.FamilyErrors), rep.FamilyErrors)
 	}
+	// The round's error also wraps every family's own error.
+	for name, ferr := range rep.FamilyErrors {
+		if !errors.Is(rep.GeneticErr, ferr) {
+			t.Errorf("GeneticErr = %v, does not wrap %s's error %v", rep.GeneticErr, name, ferr)
+		}
+	}
 	if m.Snapshot().Family() != spline.FamilyName {
 		t.Errorf("stepwise floor family %q, want spline", m.Snapshot().Family())
 	}
@@ -259,6 +302,29 @@ func TestFamilySelectionCancellation(t *testing.T) {
 	}
 	if m.Snapshot() != incumbent {
 		t.Error("cancelled round replaced the served snapshot")
+	}
+
+	// Cancelled mid-fit, after the spline search scored two generations: the
+	// partial population is kept for the next warm start, and the served
+	// snapshot stays. The trainer starts with no population of its own.
+	mid := newSmallModeler(t)
+	mid.Adopt(incumbent)
+	mid.Families = []family.Family{spline.New(), residual.New()}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	mid.Search.OnGeneration = func(gs genetic.GenStats) {
+		if gs.Gen == 1 {
+			cancel()
+		}
+	}
+	if err := mid.Train(ctx); !errors.Is(err, genetic.ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	if len(mid.Population()) == 0 {
+		t.Error("cancelled round dropped the spline family's partial population")
+	}
+	if mid.Snapshot() != incumbent {
+		t.Error("round cancelled mid-fit replaced the served snapshot")
 	}
 }
 

@@ -35,25 +35,11 @@ type Snapshot struct {
 	trainedRows int
 }
 
-// NewSnapshot wraps a fitted spline regression for serving — the
-// pre-family-refactor constructor, kept for the classic genetic/stepwise
-// paths and persistence compatibility. shardLen <= 0 defaults to
+// newSnapshot is the one Snapshot constructor: the training rungs publish
+// through it, and Save/LoadSnapshot rebuild through it. scores is nil when no
+// selection round scored the model; shardLen <= 0 defaults to
 // DefaultShardLen.
-func NewSnapshot(model *regress.Model, shardLen int, rung Rung, trainedRows int) *Snapshot {
-	var fam family.Model
-	if model != nil {
-		fam = spline.Wrap(model)
-	}
-	return newFamilySnapshot(spline.FamilyName, fam, nil, shardLen, rung, trainedRows)
-}
-
-// NewFamilySnapshot wraps a fitted model of any family for serving, with the
-// selection scores that chose it (nil when no selection ran).
-func NewFamilySnapshot(famName string, fam family.Model, scores map[string]float64, shardLen int, rung Rung, trainedRows int) *Snapshot {
-	return newFamilySnapshot(famName, fam, scores, shardLen, rung, trainedRows)
-}
-
-func newFamilySnapshot(famName string, fam family.Model, scores map[string]float64, shardLen int, rung Rung, trainedRows int) *Snapshot {
+func newSnapshot(famName string, fam family.Model, scores map[string]float64, shardLen int, rung Rung, trainedRows int) *Snapshot {
 	if shardLen <= 0 {
 		shardLen = DefaultShardLen
 	}
@@ -93,7 +79,7 @@ func (s *Snapshot) FamilyModel() family.Model {
 }
 
 // Family returns the name of the family that produced the model ("spline"
-// for the classic paths), or "" before training.
+// on the genetic and stepwise rungs), or "" before training.
 func (s *Snapshot) Family() string {
 	if s == nil || s.fam == nil {
 		return ""
@@ -154,17 +140,20 @@ func (s *Snapshot) PredictShardInto(row []float64, x profile.Characteristics, hw
 }
 
 // PredictBatch predicts every raw row of rows into out (out[i] answers
-// rows[i]; len(out) must be at least len(rows)) through the family's batch
-// kernel. Results are Float64bits-identical to per-row PredictShard — the
-// batch path amortizes buffers and dispatch, never the arithmetic. Safe on a
-// nil snapshot (returns ErrNotTrained).
+// rows[i]; len(out) must be at least len(rows)). It is a loop over the
+// family's scalar Predict: the Float64bits contract fixes each row's
+// summation order, so a batch kernel could share buffers and dispatch but no
+// arithmetic, and measured no faster. Safe on a nil snapshot (returns
+// ErrNotTrained).
 //
 //hslint:hotpath
 func (s *Snapshot) PredictBatch(rows [][]float64, out []float64) error {
 	if s == nil || s.fam == nil {
 		return ErrNotTrained
 	}
-	s.fam.PredictBatch(rows, out)
+	for i, raw := range rows {
+		out[i] = s.fam.Predict(raw)
+	}
 	return nil
 }
 
@@ -190,23 +179,17 @@ func (s *Snapshot) PredictApplication(shards []profile.Characteristics, hw hwspa
 	return sum / float64(len(shards)), nil
 }
 
-// EvaluateOn measures model accuracy on held-out samples. The spline-backed
-// path goes through the regression's own Evaluate (bit-identical to the
-// pre-family engine); other families predict row by row and share the same
-// metric assembly.
+// EvaluateOn measures model accuracy on held-out samples. For a spline
+// model it returns the same bits as regress.Model.Evaluate, which is the same
+// per-row Predict followed by Assess.
 func (s *Snapshot) EvaluateOn(samples []Sample) (regress.Metrics, error) {
 	if s == nil || s.fam == nil {
 		return regress.Metrics{}, ErrNotTrained
 	}
 	ds := ToDataset(samples)
-	if m := s.Model(); m != nil {
-		return m.Evaluate(ds), nil
+	pred := make([]float64, ds.NumRows())
+	for i := range pred {
+		pred[i] = s.fam.Predict(ds.X.Row(i))
 	}
-	rows := make([][]float64, ds.NumRows())
-	for i := range rows {
-		rows[i] = ds.X.Row(i)
-	}
-	pred := make([]float64, len(rows))
-	s.fam.PredictBatch(rows, pred)
 	return regress.Assess(pred, ds.Y), nil
 }

@@ -104,12 +104,12 @@ type Trainer struct {
 	// model files) so a loaded model profiles new shards consistently;
 	// 0 means DefaultShardLen.
 	ShardLen int
-	// Families, when non-empty, turns each training run into a model-family
-	// selection round: every listed family is fitted against the captured
-	// evaluator state, scored on the shared validation rows, and the winner
-	// is published (see SelectionResult). Empty Families preserves the
-	// pre-family engine exactly: the reference spline family alone, fitted
-	// and published through the classic genetic path bit-for-bit.
+	// Families lists the model families every training run fits against the
+	// captured evaluator state. Each listed family is scored on the shared
+	// validation rows and the winner is published on RungFamily (see
+	// SelectionResult). Empty Families runs the same round over the
+	// reference spline family alone, unscored, and publishes on
+	// RungGenetic: the paper's engine bit-for-bit.
 	Families []family.Family
 
 	trainMu       sync.Mutex // serializes training runs; never held with mu below
@@ -119,7 +119,7 @@ type Trainer struct {
 	cache         *evalCache
 	population    []genetic.Individual // final population, for warm-started updates
 	history       []genetic.GenStats
-	lastSelection *SelectionResult // most recent family-selection round, nil on classic runs
+	lastSelection *SelectionResult // most recent explicit-families round, nil without Families
 
 	snap atomic.Pointer[Snapshot]
 }
@@ -174,7 +174,7 @@ func (m *Trainer) History() []genetic.GenStats {
 }
 
 // Selection returns the most recent family-selection round, or nil when the
-// last training run used the classic single-family path (or none has run).
+// last training run had no Families registered (or none has run).
 func (m *Trainer) Selection() *SelectionResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -485,15 +485,9 @@ func (m *Trainer) cachedEvaluator() (*evaluator, error) {
 	return ev, nil
 }
 
-// publish stores a freshly fitted model as the served snapshot. The store is
-// atomic, so no lock is required.
-func (m *Trainer) publish(model *regress.Model, rung Rung, rows int) {
-	m.snap.Store(NewSnapshot(model, m.ShardLen, rung, rows))
-}
-
-// splineFamily is the shared reference-family instance the classic
-// (no-Families) path fits through; the family is stateless.
-var splineFamily = spline.New()
+// splineOnly is the implicit round an empty Families runs; the spline
+// family is stateless, so one instance serves every trainer.
+var splineOnly = []family.Family{spline.New()}
 
 // fitInput assembles the family fitting contract from a captured evaluator:
 // the dataset, shared featurizer, wrapped fitness evaluator, and fully
@@ -536,43 +530,34 @@ func (m *Trainer) fitInput(initial []regress.Spec, base *evaluator) family.FitIn
 // atomic snapshot pointer) at the end, so sample mutation and predictions
 // proceed during the search.
 //
-// With no Families registered this is the paper's engine verbatim — the
-// genetic spline search plus the all-rows final fit, now executed through
-// the extracted reference family — and publishes on RungGenetic. With
-// Families it becomes a selection round publishing the winner on RungFamily.
+// Every run is one family round. With Families registered the round scores
+// them and publishes the winner on RungFamily; with none it fits the spline
+// family alone — the genetic search plus the all-rows final fit — and
+// publishes on RungGenetic with no scores.
 func (m *Trainer) train(ctx context.Context, initial []regress.Spec, cap capturedEval) error {
-	base := cap.ev
 	m.mu.Lock()
 	m.history = nil
 	m.lastSelection = nil
 	m.mu.Unlock()
 
-	in := m.fitInput(initial, base)
-
-	if len(m.Families) == 0 {
-		out, err := splineFamily.Fit(ctx, in)
-		// Even a partial population is kept: it warm-starts the next attempt.
-		m.mu.Lock()
-		m.population = out.Population
-		m.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		m.snap.Store(NewFamilySnapshot(spline.FamilyName, out.Model, nil, m.ShardLen, RungGenetic, cap.rows))
-		return nil
+	fams, rung := m.Families, RungFamily
+	if len(fams) == 0 {
+		fams, rung = splineOnly, RungGenetic
 	}
-
-	sel, err := runSelection(ctx, m.Families, in)
+	sel, err := runSelection(ctx, fams, m.fitInput(initial, cap.ev), rung == RungFamily)
 	m.mu.Lock()
-	if sel != nil && sel.Population != nil {
+	// Even a partial population is kept: it warm-starts the next attempt.
+	if sel.Population != nil {
 		m.population = sel.Population
 	}
-	m.lastSelection = sel
+	if rung == RungFamily {
+		m.lastSelection = sel
+	}
 	m.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	m.snap.Store(NewFamilySnapshot(sel.Winner, sel.Model, sel.Scores, m.ShardLen, RungFamily, cap.rows))
+	m.snap.Store(newSnapshot(sel.Winner, sel.Model, sel.Scores, m.ShardLen, rung, cap.rows))
 	return nil
 }
 

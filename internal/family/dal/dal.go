@@ -353,16 +353,11 @@ type Model struct {
 }
 
 // dispatchScratch holds the reusable predict buffers of one goroutine's pass
-// through a DAL model: the standardized row, the per-row cluster assignment,
-// the gather/scatter buffers grouping a batch by dispatch target, and the
-// regression scratch shared by whichever local (or pooled) model answers.
+// through a DAL model: the standardized row and the regression scratch
+// shared by whichever local (or pooled) model answers.
 type dispatchScratch struct {
-	z      []float64
-	assign []int
-	sub    [][]float64
-	idx    []int
-	subOut []float64
-	rs     regress.PredictScratch
+	z  []float64
+	rs regress.PredictScratch
 }
 
 func (s *dispatchScratch) ensure(numVars int) {
@@ -370,20 +365,6 @@ func (s *dispatchScratch) ensure(numVars int) {
 		s.z = make([]float64, numVars)
 	}
 	s.z = s.z[:numVars]
-}
-
-func (s *dispatchScratch) ensureBatch(numVars, n int) {
-	s.ensure(numVars)
-	if cap(s.assign) < n {
-		s.assign = make([]int, n)
-		s.idx = make([]int, n)
-		s.sub = make([][]float64, n)
-		s.subOut = make([]float64, n)
-	}
-	s.assign = s.assign[:n]
-	s.idx = s.idx[:n]
-	s.sub = s.sub[:n]
-	s.subOut = s.subOut[:n]
 }
 
 func (m *Model) getScratch() *dispatchScratch {
@@ -420,50 +401,6 @@ func (m *Model) Predict(raw []float64) float64 {
 	v := target.PredictWith(&s.rs, raw)
 	m.scratch.Put(s)
 	return v
-}
-
-// PredictBatch implements family.Model: centroid dispatch is amortized
-// across the batch — every row is assigned first, then each dispatch target
-// (each fitted local model, plus the pooled fallback for thin regions)
-// answers its rows in one batched sweep, scattered back to the caller's
-// slots. Each row is answered by exactly the model Predict would pick, so
-// results are bit-identical to the scalar path.
-//
-//hslint:hotpath
-func (m *Model) PredictBatch(rows [][]float64, out []float64) {
-	s := m.getScratch()
-	s.ensureBatch(len(m.scale.Means), len(rows))
-	for i, raw := range rows {
-		m.scale.apply(raw, s.z)
-		s.assign[i] = m.nearest(s.z)
-	}
-	// j == -1 sweeps the pooled fallback (rows assigned to a nil local).
-	for j := -1; j < len(m.locals); j++ {
-		target := m.pooled
-		if j >= 0 {
-			if m.locals[j] == nil {
-				continue
-			}
-			target = m.locals[j]
-		}
-		k := 0
-		for i := range rows {
-			a := s.assign[i]
-			if (j >= 0 && a == j) || (j < 0 && m.locals[a] == nil) {
-				s.sub[k] = rows[i]
-				s.idx[k] = i
-				k++
-			}
-		}
-		if k == 0 {
-			continue
-		}
-		target.PredictBatchWith(&s.rs, s.sub[:k], s.subOut[:k])
-		for t := 0; t < k; t++ {
-			out[s.idx[t]] = s.subOut[t]
-		}
-	}
-	m.scratch.Put(s)
 }
 
 // Describe implements family.Model.

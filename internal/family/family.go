@@ -37,16 +37,10 @@ import (
 // the core Snapshot.
 type Model interface {
 	// Predict returns the response prediction for one raw variable row
-	// (the same row layout the family was fitted on).
+	// (the same row layout the family was fitted on). It is the only predict
+	// kernel: batches are loops over it (core.Snapshot.PredictBatch), so it
+	// must allocate nothing in steady state (internal scratch is pooled).
 	Predict(raw []float64) float64
-	// PredictBatch predicts every row of rows into out: out[i] answers
-	// rows[i], and len(out) must be at least len(rows). Implementations
-	// amortize per-call work (scratch buffers, dispatch) across the batch
-	// but must produce Float64bits-identical results to calling Predict on
-	// each row — batching is a throughput optimization, never an arithmetic
-	// change. Implementations allocate nothing in steady state (internal
-	// scratch is pooled) and are safe for concurrent use like Predict.
-	PredictBatch(rows [][]float64, out []float64)
 	// Describe reports human-readable provenance for CLIs and /v1/model.
 	Describe() Description
 	// Payload serializes the model for persistence; Family.Load inverts it.

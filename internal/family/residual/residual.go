@@ -231,20 +231,6 @@ func (m *Model) Predict(raw []float64) float64 {
 	return v
 }
 
-// PredictBatch implements family.Model: the correction sweeps the batch
-// through its fused kernel, then each slot is multiplied by the analytical
-// prior. Same two factors as Predict, one multiply — bit-identical.
-//
-//hslint:hotpath
-func (m *Model) PredictBatch(rows [][]float64, out []float64) {
-	s := m.getScratch()
-	m.corr.PredictBatchWith(s, rows, out)
-	m.scratch.Put(s)
-	for i, raw := range rows {
-		out[i] = m.prior.F(raw) * out[i]
-	}
-}
-
 // Describe implements family.Model.
 func (m *Model) Describe() family.Description {
 	return family.Description{

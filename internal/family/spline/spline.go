@@ -68,15 +68,15 @@ func (*Family) Load(payload json.RawMessage, numVars int) (family.Model, error) 
 }
 
 // Model wraps a fitted spline regression as a family.Model. The embedded
-// scratch pool makes both predict forms allocation-free in steady state; it
-// is per-fitted-model, so pooled buffers are always sized for this model.
+// scratch pool makes Predict allocation-free in steady state; it is
+// per-fitted-model, so pooled buffers are always sized for this model.
 type Model struct {
 	model   *regress.Model
 	scratch sync.Pool // *regress.PredictScratch
 }
 
-// Wrap adapts an already-fitted spline regression (for example one loaded
-// from a pre-family snapshot file) into the family contract.
+// Wrap adapts an already-fitted spline regression (for example the stepwise
+// rung's fit) into the family contract.
 func Wrap(m *regress.Model) *Model { return &Model{model: m} }
 
 // getScratch takes a pooled predict scratch (the pool has no New: a cold
@@ -98,19 +98,8 @@ func (m *Model) Predict(raw []float64) float64 {
 	return v
 }
 
-// PredictBatch implements family.Model: one fused design expansion per row
-// into the scratch's contiguous buffer, one matrix-vector sweep for the whole
-// batch. Bit-identical to per-row Predict.
-//
-//hslint:hotpath
-func (m *Model) PredictBatch(rows [][]float64, out []float64) {
-	s := m.getScratch()
-	m.model.PredictBatchWith(s, rows, out)
-	m.scratch.Put(s)
-}
-
-// RegressModel exposes the underlying regression for callers that still
-// speak the pre-family API (core.Snapshot.Model, the experiments layer).
+// RegressModel exposes the underlying regression for callers that need the
+// fitted spline itself (core.Snapshot.Model, the experiments layer).
 func (m *Model) RegressModel() *regress.Model { return m.model }
 
 // Describe implements family.Model.

@@ -168,8 +168,8 @@ func fitDesign(spec Spec, prep *Prep, design *linalg.Matrix, cols []Column, resp
 }
 
 // Predict returns the model's prediction for one raw observation. The
-// serving hot path uses PredictWith/PredictBatchWith with a pooled scratch
-// instead; Predict allocates its buffers per call.
+// serving hot path uses PredictWith with a pooled scratch instead; Predict
+// allocates its buffers per call.
 func (m *Model) Predict(raw []float64) float64 {
 	var s PredictScratch
 	return m.PredictWith(&s, raw)
@@ -185,14 +185,6 @@ func (m *Model) PredictDesignRow(row []float64) float64 {
 	for j, c := range m.Coef {
 		s += c * row[j]
 	}
-	return m.finish(s)
-}
-
-// finish applies the response transform and the prediction envelope to a
-// design-row dot product — the shared tail of the scalar and batch kernels.
-//
-//hslint:hotpath
-func (m *Model) finish(s float64) float64 {
 	if m.LogResponse {
 		s = math.Exp(s)
 	}

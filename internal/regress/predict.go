@@ -1,22 +1,17 @@
 package regress
 
-import "hsmodel/internal/linalg"
-
 // PredictScratch holds the reusable buffers of the predict hot path: the
-// per-variable z cache and design row for scalar predictions, and the
-// contiguous design-matrix backing for batch predictions. A scratch belongs
-// to exactly one goroutine at a time (callers pool them); the zero value is
-// ready to use and grows to the high-water mark of the models it serves, so
-// steady-state predictions allocate nothing.
+// per-variable z cache and the design row. A scratch belongs to exactly one
+// goroutine at a time (callers pool them); the zero value is ready to use
+// and grows to the high-water mark of the models it serves, so steady-state
+// predictions allocate nothing.
 type PredictScratch struct {
-	z      []float64 // standardized-value cache, one slot per raw variable
-	row    []float64 // design row for scalar predictions
-	design []float64 // row-major batch design backing, rows*cols
-	dm     linalg.Matrix
+	z   []float64 // standardized-value cache, one slot per raw variable
+	row []float64 // design row
 }
 
-// ensure sizes the scalar buffers for a model with numVars raw variables and
-// cols design columns.
+// ensure sizes the buffers for a model with numVars raw variables and cols
+// design columns.
 func (s *PredictScratch) ensure(numVars, cols int) {
 	if cap(s.z) < numVars {
 		s.z = make([]float64, numVars)
@@ -28,47 +23,12 @@ func (s *PredictScratch) ensure(numVars, cols int) {
 	s.row = s.row[:cols]
 }
 
-// ensureBatch additionally sizes the batch design backing for n rows.
-func (s *PredictScratch) ensureBatch(numVars, cols, n int) {
-	s.ensure(numVars, cols)
-	if cap(s.design) < n*cols {
-		s.design = make([]float64, n*cols)
-	}
-	s.design = s.design[:n*cols]
-}
-
-// PredictWith is Predict with caller-owned scratch: the zero-allocation
-// scalar form of the serving hot path. Results are bit-identical to Predict.
+// PredictWith is Predict with caller-owned scratch: the zero-allocation form
+// of the serving hot path. Results are bit-identical to Predict.
 //
 //hslint:hotpath
 func (m *Model) PredictWith(s *PredictScratch, raw []float64) float64 {
 	s.ensure(m.Prep.NumVars(), len(m.Coef))
 	m.Prep.fillDesignRow(m.Spec, raw, s.z, s.row)
 	return m.PredictDesignRow(s.row)
-}
-
-// PredictBatchWith predicts every row of rows into out (out[i] answers
-// rows[i]; len(out) must be at least len(rows)), reusing the caller's
-// scratch: design rows are expanded into one contiguous rows×cols buffer and
-// the coefficient products are applied as a single matrix-vector sweep
-// through linalg. Each row's dot product accumulates in the same ascending
-// column order as PredictDesignRow, so every batch prediction is
-// Float64bits-identical to the scalar path.
-//
-//hslint:hotpath
-func (m *Model) PredictBatchWith(s *PredictScratch, rows [][]float64, out []float64) {
-	n := len(rows)
-	if n == 0 {
-		return
-	}
-	cols := len(m.Coef)
-	s.ensureBatch(m.Prep.NumVars(), cols, n)
-	for i, raw := range rows {
-		m.Prep.fillDesignRow(m.Spec, raw, s.z, s.design[i*cols:(i+1)*cols])
-	}
-	s.dm.Rows, s.dm.Cols, s.dm.Data = n, cols, s.design
-	s.dm.MulVecInto(m.Coef, out[:n])
-	for i, v := range out[:n] {
-		out[i] = m.finish(v)
-	}
 }

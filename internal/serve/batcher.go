@@ -5,11 +5,11 @@
 // cheap round-robin counter and work-steal onto a sibling queue before
 // shedding, and jobs (with their done channels) are pooled so a steady-state
 // prediction allocates nothing. Each flush loads the snapshot exactly once
-// and answers the whole batch through Snapshot.PredictBatch, so every
-// prediction in a batch is answered by the same model version and is
-// bit-identical to a direct Snapshot.PredictShard call — the batcher only
-// amortizes queueing, allocation, and snapshot loads, it never changes the
-// arithmetic.
+// and answers the whole batch through Snapshot.PredictBatch (a loop over the
+// family's Predict), so every prediction in a batch is answered by the same
+// model version and is bit-identical to a direct Snapshot.PredictShard call
+// — the batcher only amortizes queueing, allocation, and snapshot loads, it
+// never changes the arithmetic.
 package serve
 
 import (
@@ -116,17 +116,17 @@ type batchShard struct {
 	// Flush state, preallocated to the shard's high-water marks.
 	batch  []*predictJob // gathered jobs, cap maxBatch
 	nbatch int
-	rowBuf []float64       // contiguous backing for rows
-	rows   [][]float64     // chunk of expanded raw rows
-	out    []float64       // chunk predictions
-	dstJob []*predictJob   // chunk scatter targets
-	dstIdx []int           // item index within the target job
-	timer  *time.Timer     // gather-window timer, reused across flushes
+	rowBuf []float64     // contiguous backing for rows
+	rows   [][]float64   // chunk of expanded raw rows
+	out    []float64     // chunk predictions
+	dstJob []*predictJob // chunk scatter targets
+	dstIdx []int         // item index within the target job
+	timer  *time.Timer   // gather-window timer, reused across flushes
 }
 
-// flushChunk is the row-buffer capacity of one sweep: large enough that a
-// flush of single-prediction jobs is answered in one PredictBatch call, and
-// a flush of client batches sweeps in well-amortized pieces.
+// minFlushChunk is the least row-buffer capacity of one sweep: large enough
+// that a flush of single-prediction jobs is answered in one PredictBatch
+// call, and a flush of client batches in well-amortized pieces.
 const minFlushChunk = 128
 
 func newBatcher(cfg batcherConfig) *batcher {
@@ -386,7 +386,7 @@ func (sh *batchShard) armTimer() {
 
 // flush answers the gathered batch: every item of every job is expanded into
 // the shard's contiguous row buffer and answered through one
-// Snapshot.PredictBatch sweep per chunk, then each job is signalled exactly
+// Snapshot.PredictBatch call per chunk, then each job is signalled exactly
 // once. The untrained check happens once per flush — item results are
 // bit-identical to per-call Snapshot.PredictShard either way.
 //

@@ -209,10 +209,11 @@ func TestShardedWorkStealAndShedAccounting(t *testing.T) {
 	}
 }
 
-// TestPredictManyBitIdenticalToSnapshot: the multi-item batch path — one job,
-// contiguous PredictBatch sweeps, pooled buffers — must answer every item
-// Float64bits-identical to a direct per-call Snapshot.PredictShard. Run twice
-// so the second pass exercises fully warmed pools.
+// TestPredictManyBitIdenticalToSnapshot: the multi-item batch path — one
+// job, PredictBatch over the shard's row buffer, pooled buffers — must answer
+// every item Float64bits-identical to a direct per-call
+// Snapshot.PredictShard. Run twice so the second pass exercises fully warmed
+// pools.
 func TestPredictManyBitIdenticalToSnapshot(t *testing.T) {
 	tr := newTestTrainer(t)
 	_, valid := testData(t)
@@ -251,7 +252,7 @@ func TestPredictManyBitIdenticalToSnapshot(t *testing.T) {
 }
 
 // BenchmarkServePredictBatch measures the steady-state serving batch path end
-// to end — pooled job, one queue round trip, contiguous PredictBatch sweeps —
+// to end — pooled job, one queue round trip, one PredictBatch per chunk —
 // and asserts its allocation profile in the report (the hot path must be
 // zero-allocation once pools are warm).
 func BenchmarkServePredictBatch(b *testing.B) {

@@ -124,7 +124,7 @@ func TestPredictBitIdenticalToSnapshot(t *testing.T) {
 	}
 
 	// The batch path — every item rides one multi-item batcher job answered
-	// through contiguous PredictBatch sweeps — must be bit-identical too.
+	// through Snapshot.PredictBatch — must be bit-identical too.
 	var batchReq hsmodel.BatchPredictRequest
 	for _, v := range valid {
 		hw := v.HW

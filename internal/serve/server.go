@@ -510,7 +510,7 @@ func (s *Server) Predict(ctx context.Context, x profile.Characteristics, hw hwsp
 // PredictMany answers a whole batch as one batcher submission on the default
 // entry: out[i] answers (xs[i], hws[i]); len(hws) and len(out) must be at
 // least len(xs). One queue round trip covers the entire batch, and the
-// worker answers it through contiguous Snapshot.PredictBatch sweeps — the
+// worker answers it through Snapshot.PredictBatch over its row buffer — the
 // in-process form of POST /v1/predict:batch. On a ctx error the out buffer
 // must be discarded.
 func (s *Server) PredictMany(ctx context.Context, xs []profile.Characteristics, hws []hwspace.Config, out []float64) error {
@@ -565,7 +565,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *registry
 	}
 	// Single-shard items ride the entry's batcher as ONE multi-item job —
 	// one queue round trip for the whole request, answered in shared
-	// PredictBatch sweeps (alongside items coalesced from other in-flight
+	// PredictBatch calls (alongside items coalesced from other in-flight
 	// HTTP requests). Whole-application items aggregate over one snapshot
 	// load, as in predictOne.
 	results := make([]hsmodel.BatchPredictItem, len(req.Requests))

@@ -89,7 +89,8 @@ type (
 	// DefaultFamilies and WithFamilies.
 	ModelFamily = family.Family
 	// FamilyModel is a fitted model of one family: the self-contained
-	// predictor a Snapshot serves.
+	// predictor a Snapshot serves. Its scalar Predict is the only predict
+	// kernel; Snapshot.PredictBatch loops over it.
 	FamilyModel = family.Model
 	// FamilyDescription is the displayable summary of a fitted family model.
 	FamilyDescription = family.Description
@@ -143,9 +144,11 @@ var (
 	ErrModelCorrupt    = core.ErrModelCorrupt
 	ErrModelVersion    = core.ErrModelVersion
 	ErrModelIncomplete = core.ErrModelIncomplete
-	ErrModelShape      = core.ErrModelShape
 	ErrModelChecksum   = core.ErrModelChecksum
 	ErrModelFamily     = core.ErrModelFamily
+	// Deprecated: only version-2/3 model files, which no longer load,
+	// produced ErrModelShape.
+	ErrModelShape = core.ErrModelShape
 	// ErrAllFamiliesFailed is returned by a selection round in which no
 	// registered family produced a model.
 	ErrAllFamiliesFailed = core.ErrAllFamiliesFailed
@@ -224,9 +227,9 @@ func WithShardLen(n int) Option {
 // run becomes a selection round that fits each family against the same
 // captured evaluator state, scores all of them on the shared validation
 // rows, and publishes the winner (TrainReport.Family / Snapshot.Family say
-// which; Trainer.Selection has the full scoreboard). An empty set restores
-// the classic engine — the reference spline family alone on the genetic
-// rung, bit-identical to the pre-family fit path.
+// which; Trainer.Selection has the full scoreboard). An empty set runs the
+// same round over the reference spline family alone, unscored, on the
+// genetic rung — the paper's engine bit-for-bit.
 func WithFamilies(fams ...ModelFamily) Option {
 	return func(t *Trainer) { t.Families = fams }
 }
