@@ -14,15 +14,10 @@
 //	hslint -fix -diff ./...           show the diff -fix would apply
 //	hslint -fix ./...                 apply suggested fixes in place
 //	hslint -format sarif ./...        SARIF 2.1.0 on stdout (CI annotations)
-//	hslint -baseline .hslint-baseline.json ./...
-//	hslint -write-baseline .hslint-baseline.json ./...
 //	hslint -list                      machine-readable check listing
 //
-// Diagnostics print as file:line:col: message [check]. With -baseline,
-// findings recorded in the baseline are reported with a "(baselined)"
-// suffix and do not fail the run; fresh findings do. Exit status: 0 clean
-// (or all findings baselined), 1 fresh diagnostics reported, 2 usage or
-// load failure.
+// Diagnostics print as file:line:col: message [check]. Exit status: 0
+// clean, 1 diagnostics reported, 2 usage or load failure.
 //
 // A site may suppress one diagnostic with an in-line directive carrying a
 // mandatory reason:
@@ -48,14 +43,12 @@ func main() {
 
 func run() int {
 	var (
-		dirMode   = flag.Bool("dir", false, "treat arguments as directories of Go files (testdata trees) instead of package patterns")
-		checks    = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-		list      = flag.Bool("list", false, "list available checks (name<TAB>doc per line) and exit")
-		fix       = flag.Bool("fix", false, "apply suggested fixes to the source tree")
-		diff      = flag.Bool("diff", false, "with -fix, print the diff instead of writing files")
-		format    = flag.String("format", "text", "output format: text or sarif")
-		baseline  = flag.String("baseline", "", "baseline file of grandfathered findings; fresh findings still fail")
-		writeBase = flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
+		dirMode = flag.Bool("dir", false, "treat arguments as directories of Go files (testdata trees) instead of package patterns")
+		checks  = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
+		list    = flag.Bool("list", false, "list available checks (name<TAB>doc per line) and exit")
+		fix     = flag.Bool("fix", false, "apply suggested fixes to the source tree")
+		diff    = flag.Bool("diff", false, "with -fix, print the diff instead of writing files")
+		format  = flag.String("format", "text", "output format: text or sarif")
 	)
 	flag.Parse()
 
@@ -66,7 +59,7 @@ func run() int {
 		return 0
 	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: hslint [-dir] [-checks c1,c2] [-fix [-diff]] [-format text|sarif] [-baseline file | -write-baseline file] patterns...")
+		fmt.Fprintln(os.Stderr, "usage: hslint [-dir] [-checks c1,c2] [-fix [-diff]] [-format text|sarif] patterns...")
 		return 2
 	}
 	if *format != "text" && *format != "sarif" {
@@ -135,43 +128,19 @@ func run() int {
 		return 0
 	}
 
-	if *writeBase != "" {
-		if err := analysis.WriteBaseline(*writeBase, diags, cwd); err != nil {
-			fmt.Fprintln(os.Stderr, "hslint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "hslint: wrote %d finding(s) to %s\n", len(diags), *writeBase)
-		return 0
-	}
-
-	matched := make([]bool, len(diags))
-	fresh := len(diags)
-	if *baseline != "" {
-		base, err := analysis.ReadBaseline(*baseline, false)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hslint:", err)
-			return 2
-		}
-		matched, fresh = base.Match(diags, cwd)
-	}
-
 	if *format == "sarif" {
-		out, err := analysis.SARIF(diags, matched, analyzers, cwd)
+		out, err := analysis.SARIF(diags, analyzers, cwd)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hslint:", err)
 			return 2
 		}
 		fmt.Println(string(out))
 	} else {
-		for i, d := range diags {
-			if matched[i] {
-				fmt.Printf("%s (baselined)\n", d)
-			} else {
-				fmt.Println(d)
-			}
+		for _, d := range diags {
+			fmt.Println(d)
 		}
 	}
-	if fresh > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0

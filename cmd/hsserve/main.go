@@ -55,7 +55,7 @@ func main() {
 	shards := flag.Int("shards", 0, "batcher queue+worker shards (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout")
 	selfcheck := flag.Bool("selfcheck", false, "bootstrap a tiny model, exercise the API over loopback, exit")
-	lifecycleOn := flag.Bool("lifecycle", false, "run the continuous-learning control loop on /v1/samples (bounded stores, drift detection, canary-gated retrains)")
+	lifecycleOn := flag.Bool("lifecycle", false, "run the continuous-learning control loop on /v1/samples (drift detection, canary-gated retrains)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "lifecycle: accumulated excess error (CUSUM mass) that trips the drift detector (0 = default)")
 	minProfiles := flag.Int("min-profiles", 0, "lifecycle: fresh post-drift profiles required before a shadow retrain (0 = default)")
 	canaryTolerance := flag.Float64("canary-tolerance", 0, "lifecycle: relative slack a candidate gets on the canary set before promotion (0 = default)")
@@ -598,8 +598,6 @@ func driveDriftEpisode(logger *log.Logger, train, stream []hsmodel.Sample, seed 
 			Drift:           hsmodel.DriftConfig{Target: 0.2},
 			MinProfiles:     10,
 			MinTrainRows:    24,
-			ReservoirCap:    64,
-			RingCap:         32,
 			CanaryTolerance: canaryTol,
 			Seed:            seed,
 			Resilience:      hsmodel.Resilience{StepwiseBudget: 150},

@@ -60,12 +60,6 @@ var (
 	ErrModelVersion = errors.New("core: model file version mismatch")
 	// ErrModelIncomplete: structurally valid JSON missing required parts.
 	ErrModelIncomplete = errors.New("core: saved model is incomplete")
-	// ErrModelShape: the model was trained over a different variable space.
-	//
-	// Deprecated: only version-2/3 files produced it. A version-4 payload
-	// over the wrong variable space fails its family's Load and reports
-	// ErrModelFamily.
-	ErrModelShape = errors.New("core: saved model variable count mismatch")
 	// ErrModelChecksum: the payload does not match its recorded checksum.
 	ErrModelChecksum = errors.New("core: model payload checksum mismatch")
 	// ErrModelFamily: the family name is unknown to this build, or the

@@ -87,7 +87,7 @@ func TestLoadFamilyFileCorruption(t *testing.T) {
 
 	typed := []error{
 		ErrModelCorrupt, ErrModelVersion, ErrModelIncomplete,
-		ErrModelShape, ErrModelChecksum, ErrModelFamily,
+		ErrModelChecksum, ErrModelFamily,
 	}
 	isTyped := func(err error) bool {
 		for _, want := range typed {

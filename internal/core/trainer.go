@@ -55,8 +55,8 @@ func (f FitnessConfig) withDefaults() FitnessConfig {
 }
 
 // Trainer is the training half of the paper's system model: it owns the
-// accumulated sparse profiles (the paper's P), the featurized evaluator
-// state, and the genetic/stepwise/resilience training machinery. Every
+// sparse profile store (the paper's P), the featurized evaluator state, and
+// the genetic/stepwise/resilience training machinery. Every
 // successful training run publishes an immutable Snapshot through an atomic
 // pointer; predictions (PredictShard, PredictApplication, EvaluateOn) are
 // lock-free reads of the current Snapshot, so the model keeps answering
@@ -68,6 +68,14 @@ func (f FitnessConfig) withDefaults() FitnessConfig {
 // mutated concurrently with a training run. Sample mutation goes through
 // AddSamples/SetSamples, which invalidate the cached featurized evaluator so
 // a subsequent Update never trains against stale basis columns.
+//
+// The store is bounded. Rows given to NewTrainer or SetSamples are the
+// caller's fixed-size corpus, kept verbatim. Rows streamed through
+// AddSamples pass through a seeded reservoir (2048 rows, a uniform sample of
+// the whole stream) plus a ring of the 256 most recent rows, so memory stays
+// flat however long the stream runs; the reservoir's seed derives from
+// Fitness.Seed. Below the reservoir's cap nothing is evicted and the store
+// is exactly the corpus followed by every streamed row.
 //
 // Concurrency contract: AddSamples, SetSamples, Samples, NumSamples,
 // Snapshot, and every prediction method are safe to call while a Train,
@@ -113,9 +121,10 @@ type Trainer struct {
 	Families []family.Family
 
 	trainMu       sync.Mutex // serializes training runs; never held with mu below
-	mu            sync.Mutex // guards samples, version, cache, population, history, lastSelection
-	samples       []Sample
-	version       uint64 // bumped by every sample mutation
+	mu            sync.Mutex // guards corpus, stream, version, cache, population, history, lastSelection
+	corpus        []Sample
+	stream        *stream // rows from AddSamples; nil until the first one after NewTrainer/SetSamples
+	version       uint64  // bumped by every sample mutation
 	cache         *evalCache
 	population    []genetic.Individual // final population, for warm-started updates
 	history       []genetic.GenStats
@@ -138,7 +147,7 @@ type evalCache struct {
 // NewTrainer returns a trainer with the paper's defaults.
 func NewTrainer(samples []Sample) *Trainer {
 	return &Trainer{
-		samples:     samples,
+		corpus:      samples,
 		Stabilize:   true,
 		LogResponse: true,
 		Fitness:     FitnessConfig{}.withDefaults(),
@@ -184,18 +193,43 @@ func (m *Trainer) Selection() *SelectionResult {
 // Trained reports whether a fitted model is currently being served.
 func (m *Trainer) Trained() bool { return m.Snapshot().Trained() }
 
-// Samples returns a copy of the accumulated profile store.
+// Samples returns a copy of the profile store: the corpus, then the
+// retained streamed rows in arrival order.
 func (m *Trainer) Samples() []Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]Sample(nil), m.samples...)
+	return m.samplesLocked()
+}
+
+// samplesLocked materializes the profile store. Callers must hold m.mu.
+func (m *Trainer) samplesLocked() []Sample {
+	return m.stream.appendTo(append([]Sample(nil), m.corpus...))
+}
+
+// Streamed returns a copy of the retained rows streamed through AddSamples,
+// in arrival order — the store without its corpus.
+func (m *Trainer) Streamed() []Sample {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stream.appendTo(nil)
+}
+
+// StreamOccupancy reports the occupancy and capacity of the reservoir and
+// the ring that bound the streamed rows.
+func (m *Trainer) StreamOccupancy() (resLen, resCap, recentLen, recentCap int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.stream != nil {
+		resLen, recentLen = len(m.stream.res.items), m.stream.ringLen()
+	}
+	return resLen, reservoirCap, recentLen, ringCap
 }
 
 // NumSamples returns the profile-store size.
 func (m *Trainer) NumSamples() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.samples)
+	return len(m.corpus) + m.stream.len()
 }
 
 // StoreVersion returns the sample-store mutation counter: it advances on
@@ -207,23 +241,31 @@ func (m *Trainer) StoreVersion() uint64 {
 	return m.version
 }
 
-// AddSamples appends new profiles to the store (they take effect at the next
-// Train or Update). The cached featurized evaluator is invalidated, so the
-// next training run rebuilds its basis columns over the full store.
+// AddSamples streams new profiles into the store's bounded reservoir and
+// ring (they take effect at the next Train or Update). The cached featurized
+// evaluator is invalidated, so the next training run rebuilds its basis
+// columns over the full store.
 func (m *Trainer) AddSamples(samples []Sample) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.samples = append(m.samples, samples...)
+	if m.stream == nil {
+		m.stream = newStream(reservoirCap, ringCap, m.Fitness.Seed^0x5e1ec7ed)
+	}
+	for _, s := range samples {
+		m.stream.add(s)
+	}
 	m.version++
 }
 
-// SetSamples replaces the profile store and invalidates cached evaluator
-// state. Mutating samples previously returned by Samples has no effect on
-// training; all sample mutation must go through AddSamples or SetSamples.
+// SetSamples replaces the whole profile store with a new corpus, dropping
+// every streamed row, and invalidates cached evaluator state. Mutating
+// samples previously returned by Samples has no effect on training; all
+// sample mutation must go through AddSamples or SetSamples.
 func (m *Trainer) SetSamples(samples []Sample) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.samples = samples
+	m.corpus = samples
+	m.stream = nil
 	m.version++
 }
 
@@ -390,7 +432,7 @@ func (m *Trainer) SumOfMedianErrors(fitness float64) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	seen := make(map[int]bool)
-	for _, s := range m.samples {
+	for _, s := range m.samplesLocked() {
 		seen[s.AppID] = true
 	}
 	return fitness * float64(len(seen))
@@ -452,14 +494,15 @@ type capturedEval struct {
 func (m *Trainer) captureEvaluator() (capturedEval, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.samples) == 0 {
+	rows := len(m.corpus) + m.stream.len()
+	if rows == 0 {
 		return capturedEval{}, ErrNoSamples
 	}
 	ev, err := m.cachedEvaluator()
 	if err != nil {
 		return capturedEval{}, fmt.Errorf("core: featurizing samples: %w", err)
 	}
-	return capturedEval{ev: ev, version: m.version, rows: len(m.samples)}, nil
+	return capturedEval{ev: ev, version: m.version, rows: rows}, nil
 }
 
 // cachedEvaluator returns the featurized evaluator for the current samples
@@ -471,7 +514,7 @@ func (m *Trainer) cachedEvaluator() (*evaluator, error) {
 		c.fitness == m.Fitness {
 		return c.ev, nil
 	}
-	ev, err := newEvaluator(ToDataset(m.samples), m.Fitness, m.Stabilize, m.LogResponse)
+	ev, err := newEvaluator(ToDataset(m.samplesLocked()), m.Fitness, m.Stabilize, m.LogResponse)
 	if err != nil {
 		return nil, err
 	}

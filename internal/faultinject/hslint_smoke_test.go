@@ -179,27 +179,3 @@ func TestHslintSARIF(t *testing.T) {
 		}
 	}
 }
-
-// TestHslintBaselineRoundTrip writes a baseline of the corpus's findings,
-// then lints again against it: every finding is grandfathered, the run
-// reports them as baselined, and the exit code drops to 0.
-func TestHslintBaselineRoundTrip(t *testing.T) {
-	bin, root := buildHslint(t)
-	base := filepath.Join(t.TempDir(), "baseline.json")
-
-	out, code := runHslint(t, bin, root, "-dir", "-write-baseline", base, misuseDir)
-	if code != 0 {
-		t.Fatalf("-write-baseline exit code = %d, want 0; output:\n%s", code, out)
-	}
-	if _, err := os.Stat(base); err != nil {
-		t.Fatalf("baseline file not written: %v", err)
-	}
-
-	out, code = runHslint(t, bin, root, "-dir", "-baseline", base, misuseDir)
-	if code != 0 {
-		t.Fatalf("baselined lint exit code = %d, want 0; output:\n%s", code, out)
-	}
-	if !strings.Contains(out, "(baselined)") {
-		t.Errorf("baselined run output missing \"(baselined)\" marker; output:\n%s", out)
-	}
-}

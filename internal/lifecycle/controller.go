@@ -2,11 +2,12 @@
 // continuous-learning control loop the paper sketches in Section 3.3
 // ("re-specify the model when incoming profiles disagree with it") made
 // operational. A Controller watches the sample stream, detects drift in
-// prediction-vs-observed error, gathers fresh profiles into bounded stores,
-// retrains a candidate in a shadow trainer on a background goroutine, scores
-// it against a canary set, and promotes it with an atomic snapshot swap only
-// if it beats the incumbent — otherwise it rolls back (the served pointer
-// never moves) and backs off under an exponential, jittered cooldown.
+// prediction-vs-observed error, gathers fresh profiles into the live
+// trainer's bounded store, retrains a candidate in a shadow trainer on a
+// background goroutine, scores it against a canary set, and promotes it with
+// an atomic snapshot swap only if it beats the incumbent — otherwise it rolls
+// back (the served pointer never moves) and backs off under an exponential,
+// jittered cooldown.
 //
 // State machine:
 //
@@ -14,12 +15,12 @@
 //	                                                     ├─ Promote  → Stable
 //	                                                     └─ Rollback → Cooldown → Stable
 //
-// Every decision is deterministic given Config.Seed and the submission
-// order: cooldowns are counted in submissions (not wall clock), jitter and
-// reservoir eviction come from seeded generators, and the canary/holdout
-// split is a seeded shuffle. The only nondeterminism is how background
-// retraining interleaves with new submissions, which tests resolve by
-// polling Status between submissions.
+// Every decision is deterministic given Config.Seed, the live trainer's
+// Fitness.Seed (which seeds its store's reservoir) and the submission order:
+// cooldowns are counted in submissions (not wall clock), jitter comes from a
+// seeded generator, and the canary/holdout split is a seeded shuffle. The
+// only nondeterminism is how background retraining interleaves with new
+// submissions, which tests resolve by polling Status between submissions.
 package lifecycle
 
 import (
@@ -49,7 +50,7 @@ const (
 	// background goroutine; serving continues on the incumbent snapshot.
 	StateRetraining
 	// StateCanary: the candidate is being scored against the held-out
-	// reservoir split and the recent query stream.
+	// store split and the recent query stream.
 	StateCanary
 	// StateCooldown: a rollback or ladder failure occurred; retraining is
 	// suppressed for an exponentially growing, jittered number of
@@ -91,12 +92,8 @@ type Config struct {
 	// (default 30): a candidate fit on fewer rows than the model has basis
 	// columns would be noise.
 	MinTrainRows int
-	// ReservoirCap bounds the uniform long-term sample store (default 2048).
-	ReservoirCap int
-	// RingCap bounds the recent-sample ring (default 256).
-	RingCap int
-	// HoldoutFrac is the fraction of the reservoir held out of training and
-	// reserved for canary scoring (default 0.25).
+	// HoldoutFrac is the fraction of the streamed rows held out of training
+	// and reserved for canary scoring (default 0.25).
 	HoldoutFrac float64
 	// CanarySamples is how many of the most recent submissions join the
 	// canary set as the live-stream proxy (default 8).
@@ -112,8 +109,7 @@ type Config struct {
 	// deterministic jitter of up to a quarter of the cooldown.
 	CooldownBase int
 	CooldownMax  int
-	// Seed determinizes the reservoir, the holdout split, and the cooldown
-	// jitter.
+	// Seed determinizes the holdout split and the cooldown jitter.
 	Seed uint64
 	// Resilience configures the shadow trainer's degradation ladder.
 	// LastGoodPath is ignored: a shadow candidate must come from a real
@@ -137,12 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinTrainRows <= 0 {
 		c.MinTrainRows = 30
-	}
-	if c.ReservoirCap <= 0 {
-		c.ReservoirCap = 2048
-	}
-	if c.RingCap <= 0 {
-		c.RingCap = 256
 	}
 	if c.HoldoutFrac <= 0 || c.HoldoutFrac >= 1 {
 		c.HoldoutFrac = 0.25
@@ -198,12 +188,10 @@ type Controller struct {
 	cfg  Config
 	live *core.Trainer
 
-	mu        sync.Mutex
-	state     State
-	detector  *Detector
-	reservoir *Reservoir
-	ring      *Ring
-	jitter    *rng.Source
+	mu       sync.Mutex
+	state    State
+	detector *Detector
+	jitter   *rng.Source
 
 	submissions   uint64
 	fresh         int // post-confirmation samples gathered this episode
@@ -235,25 +223,22 @@ type Controller struct {
 func NewController(live *core.Trainer, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	src := rng.New(cfg.Seed)
 	return &Controller{
-		cfg:       cfg,
-		live:      live,
-		state:     StateStable,
-		detector:  NewDetector(cfg.Drift),
-		reservoir: NewReservoir(cfg.ReservoirCap, src.Fork(1).Uint64()),
-		ring:      NewRing(cfg.RingCap),
-		jitter:    src.Fork(2),
-		ctx:       ctx,
-		cancel:    cancel,
+		cfg:      cfg,
+		live:     live,
+		state:    StateStable,
+		detector: NewDetector(cfg.Drift),
+		jitter:   rng.New(cfg.Seed).Fork(2),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 }
 
 // Submit feeds one observed sample through the control loop: the incumbent
 // model predicts it, the error drives the drift detector, the sample lands
-// in both bounded stores, and the state machine advances. Submit never
-// blocks on training — episodes run on a background goroutine — and is safe
-// for concurrent use. After Close it is a no-op.
+// in the live trainer's bounded store, and the state machine advances.
+// Submit never blocks on training — episodes run on a background goroutine —
+// and is safe for concurrent use. After Close it is a no-op.
 func (c *Controller) Submit(s core.Sample) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -269,8 +254,7 @@ func (c *Controller) Submit(s core.Sample) {
 		}
 	}
 
-	c.reservoir.Add(s)
-	c.ring.Add(s)
+	c.live.AddSamples([]core.Sample{s})
 
 	switch c.state {
 	case StateStable:
@@ -298,7 +282,7 @@ func (c *Controller) Submit(s core.Sample) {
 		}
 	case StateRetraining, StateCanary:
 		// The episode goroutine owns the next transition; samples keep
-		// landing in the stores meanwhile.
+		// landing in the store meanwhile.
 	case StateCooldown:
 		if c.submissions >= c.cooldownUntil {
 			c.detector.Reset()
@@ -307,50 +291,43 @@ func (c *Controller) Submit(s core.Sample) {
 	}
 }
 
-// startEpisode splits the stores into training and canary sets and launches
-// the shadow retrain. Called with c.mu held.
+// startEpisode splits the live trainer's streamed rows into training and
+// canary sets and launches the shadow retrain. Called with c.mu held.
 func (c *Controller) startEpisode() {
-	res := c.reservoir.Samples()
-	recent := c.ring.Samples()
+	streamed := c.live.Streamed()
 
-	// Seeded holdout split over the reservoir: these rows never reach the
+	// Seeded holdout split over the streamed rows: these rows never reach the
 	// shadow trainer, so the canary score is an honest out-of-sample check.
 	split := c.jitter.Fork(3 + c.episodes)
-	perm := split.Perm(len(res))
-	nHold := int(float64(len(res)) * c.cfg.HoldoutFrac)
-	if nHold < 1 && len(res) > 3 {
+	perm := split.Perm(len(streamed))
+	nHold := int(float64(len(streamed)) * c.cfg.HoldoutFrac)
+	if nHold < 1 && len(streamed) > 3 {
 		nHold = 1
 	}
 	excluded := make(map[core.Sample]bool, nHold+c.cfg.CanarySamples)
 	canary := make([]core.Sample, 0, nHold+c.cfg.CanarySamples)
 	for _, i := range perm[:nHold] {
-		if !excluded[res[i]] {
-			excluded[res[i]] = true
-			canary = append(canary, res[i])
+		if !excluded[streamed[i]] {
+			excluded[streamed[i]] = true
+			canary = append(canary, streamed[i])
 		}
 	}
 	// The live-stream proxy: the most recent submissions join the canary set
 	// and are likewise excluded from training.
-	streamFrom := len(recent) - c.cfg.CanarySamples
+	streamFrom := len(streamed) - c.cfg.CanarySamples
 	if streamFrom < 0 {
 		streamFrom = 0
 	}
-	for _, s := range recent[streamFrom:] {
+	for _, s := range streamed[streamFrom:] {
 		if !excluded[s] {
 			excluded[s] = true
 			canary = append(canary, s)
 		}
 	}
 
-	train := make([]core.Sample, 0, len(res)+len(recent))
-	seen := make(map[core.Sample]bool, len(res)+len(recent))
-	for _, s := range res {
-		if !excluded[s] && !seen[s] {
-			seen[s] = true
-			train = append(train, s)
-		}
-	}
-	for _, s := range recent {
+	train := make([]core.Sample, 0, len(streamed))
+	seen := make(map[core.Sample]bool, len(streamed))
+	for _, s := range streamed {
 		if !excluded[s] && !seen[s] {
 			seen[s] = true
 			train = append(train, s)
@@ -422,7 +399,7 @@ func (c *Controller) runEpisode(train, canary []core.Sample) {
 		c.beginCooldown("candidate unevaluable on canary set")
 	case !haveIncumbent,
 		candM.MedAPE <= incumbentAPE*(1+c.cfg.CanaryTolerance):
-		c.promote(candidate, train)
+		c.promote(candidate)
 	default:
 		c.rollbacks++
 		c.lastOutcome = "rolled-back"
@@ -431,11 +408,10 @@ func (c *Controller) runEpisode(train, canary []core.Sample) {
 	}
 }
 
-// promote swaps the candidate in atomically and aligns the live trainer's
-// sample store with the bounded training set, so a later manual retrain fits
-// the same regime the promoted model was built on. Called with c.mu held.
-func (c *Controller) promote(candidate *core.Snapshot, train []core.Sample) {
-	c.live.SetSamples(train)
+// promote swaps the candidate in atomically. The live trainer's store is
+// left as it is: it already holds the bounded rows the candidate drew from.
+// Called with c.mu held.
+func (c *Controller) promote(candidate *core.Snapshot) {
 	c.live.Adopt(candidate)
 	c.promotions++
 	c.rollbackRun = 0
@@ -489,15 +465,16 @@ func (c *Controller) Status() Status {
 	if c.state == StateCooldown && c.cooldownUntil > c.submissions {
 		cooldown = c.cooldownUntil - c.submissions
 	}
+	resLen, resCap, ringLen, ringCap := c.live.StreamOccupancy()
 	return Status{
 		State:             c.state.String(),
 		Submissions:       c.submissions,
 		DriftScore:        c.detector.Score(),
 		ErrEWMA:           c.detector.EWMA(),
-		ReservoirLen:      c.reservoir.Len(),
-		ReservoirCap:      c.reservoir.Cap(),
-		RingLen:           c.ring.Len(),
-		RingCap:           c.ring.Cap(),
+		ReservoirLen:      resLen,
+		ReservoirCap:      resCap,
+		RingLen:           ringLen,
+		RingCap:           ringCap,
 		FreshSamples:      c.fresh,
 		Retrains:          c.retrains,
 		Promotions:        c.promotions,

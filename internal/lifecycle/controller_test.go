@@ -48,9 +48,8 @@ func newLiveTrainer(t testing.TB) *core.Trainer {
 	return tr
 }
 
-// episodeConfig is the shared tuning for scripted drift episodes: small
-// bounded stores and a short gathering phase so one collected stream drives
-// a full episode.
+// episodeConfig is the shared tuning for scripted drift episodes: a short
+// gathering phase so one collected stream drives a full episode.
 func episodeConfig(seed uint64) Config {
 	return Config{
 		// Boundary at Target+Slack = 0.25: the incumbent's ~5% clean error
@@ -59,8 +58,6 @@ func episodeConfig(seed uint64) Config {
 		Drift:        DriftConfig{Target: 0.2},
 		MinProfiles:  10,
 		MinTrainRows: 24,
-		ReservoirCap: 64,
-		RingCap:      32,
 		Seed:         seed,
 		Resilience:   core.Resilience{StepwiseBudget: 150},
 	}
@@ -300,13 +297,15 @@ func TestLifecycleStableOnCleanStream(t *testing.T) {
 }
 
 // TestLifecycleFlatMemoryAt100k: store occupancy stays exactly at capacity
-// through 100k submissions — the bounded-store contract that keeps a
-// long-lived server flat.
+// through 100k submissions, and the trainer never holds more than its corpus
+// plus both stores — the bounded-store contract that keeps a long-lived
+// server flat.
 func TestLifecycleFlatMemoryAt100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-submission soak skipped in -short")
 	}
 	tr := newLiveTrainer(t)
+	corpus := tr.NumSamples()
 	_, stream := fixtures(t)
 	cfg := episodeConfig(17)
 	// A threshold no real stream reaches: this soak exercises the stores,
@@ -323,6 +322,9 @@ func TestLifecycleFlatMemoryAt100k(t *testing.T) {
 			if st.ReservoirLen > st.ReservoirCap || st.RingLen > st.RingCap {
 				t.Fatalf("submission %d: occupancy %d/%d reservoir, %d/%d ring — store grew past its bound",
 					i+1, st.ReservoirLen, st.ReservoirCap, st.RingLen, st.RingCap)
+			}
+			if rows, bound := tr.NumSamples(), corpus+st.ReservoirCap+st.RingCap; rows > bound {
+				t.Fatalf("submission %d: trainer holds %d rows, want at most %d", i+1, rows, bound)
 			}
 		}
 	}

@@ -122,9 +122,10 @@ func (e *Entry) PredictMany(ctx context.Context, xs []profile.Characteristics, h
 	return e.batcher.PredictMany(ctx, xs, hws, out)
 }
 
-// Absorb feeds samples into the entry's store: through the control loop's
-// bounded stores when the lifecycle is enabled, directly into the trainer
-// otherwise. Returns how many samples were absorbed.
+// Absorb adds samples to the entry's trainer store, the one bounded store
+// every path shares. With the lifecycle enabled each sample goes through the
+// control loop, which scores it for drift and adds it to that same store.
+// Returns how many samples were absorbed.
 func (e *Entry) Absorb(samples []core.Sample) int {
 	if e.lifecycle != nil {
 		for _, s := range samples {

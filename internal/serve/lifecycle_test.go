@@ -57,8 +57,8 @@ func TestLifecycleDisabledIs404(t *testing.T) {
 
 // TestLifecycleHTTPEpisode drives a scripted drift episode end to end over
 // the wire: shifted samples trip the loop, a candidate is trained and
-// promoted, the trainer's own store stays flat (samples are routed into the
-// bounded stores), and both /v1/lifecycle and /metrics report the outcome.
+// promoted, every submission lands once in the trainer's bounded store, and
+// both /v1/lifecycle and /metrics report the outcome.
 func TestLifecycleHTTPEpisode(t *testing.T) {
 	tr := newTestTrainer(t)
 	bootstrapRows := tr.NumSamples()
@@ -71,8 +71,6 @@ func TestLifecycleHTTPEpisode(t *testing.T) {
 			Drift:        lifecycle.DriftConfig{Target: 0.2},
 			MinProfiles:  10,
 			MinTrainRows: 24,
-			ReservoirCap: 64,
-			RingCap:      32,
 			Seed:         11,
 		},
 	})
@@ -86,6 +84,7 @@ func TestLifecycleHTTPEpisode(t *testing.T) {
 	sched := &faultinject.DriftSchedule{Segments: []faultinject.DriftSegment{{From: 1, Factor: 1.6}}}
 	deadline := time.Now().Add(2 * time.Minute)
 	var promoted bool
+	submissions := 0
 	for i := 0; !promoted; i++ {
 		if time.Now().After(deadline) {
 			t.Fatal("no promotion within deadline")
@@ -93,6 +92,7 @@ func TestLifecycleHTTPEpisode(t *testing.T) {
 		v := stream[i%len(stream)]
 		v.CPI, _ = sched.Next(v.CPI)
 		postSample(t, ts.URL, v)
+		submissions++
 		// Wait out any in-flight episode so the submission order fully
 		// determines the outcome.
 		for {
@@ -109,11 +109,11 @@ func TestLifecycleHTTPEpisode(t *testing.T) {
 	if st.Promotions != 1 || st.Rollbacks != 0 {
 		t.Fatalf("promotions=%d rollbacks=%d, want 1/0 (status %+v)", st.Promotions, st.Rollbacks, st)
 	}
-	// Lifecycle mode keeps the trainer's store bounded: submissions landed in
-	// the reservoir/ring, and promotion replaced the store with the bounded
-	// training set rather than growing it.
-	if rows := tr.NumSamples(); rows > bootstrapRows {
-		t.Errorf("trainer store grew %d -> %d rows; lifecycle mode must keep it bounded", bootstrapRows, rows)
+	// Every submission streamed once into the trainer's store, and promotion
+	// left the store as it was: far below the reservoir cap, nothing is
+	// evicted.
+	if rows := tr.NumSamples(); rows != bootstrapRows+submissions {
+		t.Errorf("trainer store holds %d rows, want %d bootstrap + %d submissions", rows, bootstrapRows, submissions)
 	}
 	if st.ReservoirLen > st.ReservoirCap || st.RingLen > st.RingCap {
 		t.Errorf("store occupancy exceeds caps: %+v", st)
@@ -170,8 +170,6 @@ func TestLifecyclePromotionCarriesFamily(t *testing.T) {
 			Drift:        lifecycle.DriftConfig{Target: 0.2},
 			MinProfiles:  10,
 			MinTrainRows: 60,
-			ReservoirCap: 128,
-			RingCap:      32,
 			Seed:         11,
 		},
 	})

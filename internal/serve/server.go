@@ -111,11 +111,10 @@ type Config struct {
 	// part of the manifest.
 	ManifestPath string
 	// Lifecycle, when non-nil, enables the continuous-learning control loop
-	// (internal/lifecycle) on the default entry: POST /v1/samples feeds the
-	// loop's bounded stores and drift detector instead of growing the
-	// trainer's store without bound, and GET /v1/lifecycle reports loop
-	// status. Manifest entries opt in per model. The server owns every
-	// controller and closes them on Close.
+	// (internal/lifecycle) on the default entry: POST /v1/samples also feeds
+	// the loop's drift detector on the way into the trainer's bounded store,
+	// and GET /v1/lifecycle reports loop status. Manifest entries opt in per
+	// model. The server owns every controller and closes them on Close.
 	Lifecycle *lifecycle.Config
 	// Logger receives serving events (update/reload outcomes); nil discards.
 	Logger *log.Logger

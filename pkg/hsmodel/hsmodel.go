@@ -146,9 +146,6 @@ var (
 	ErrModelIncomplete = core.ErrModelIncomplete
 	ErrModelChecksum   = core.ErrModelChecksum
 	ErrModelFamily     = core.ErrModelFamily
-	// Deprecated: only version-2/3 model files, which no longer load,
-	// produced ErrModelShape.
-	ErrModelShape = core.ErrModelShape
 	// ErrAllFamiliesFailed is returned by a selection round in which no
 	// registered family produced a model.
 	ErrAllFamiliesFailed = core.ErrAllFamiliesFailed
@@ -277,10 +274,11 @@ func RandomConfig(seed uint64) Config {
 type LifecycleOption func(*LifecycleConfig)
 
 // NewLifecycle attaches a continuous-learning control loop to a trainer:
-// every Sample handed to Submit is folded into bounded stores and scored for
-// drift, and confirmed drift drives a shadow retrain with canary-gated
-// promotion (or rollback) of the trainer's served snapshot. Unset knobs take
-// the loop's documented defaults. Close the loop before discarding it.
+// every Sample handed to Submit is added to the trainer's bounded store and
+// scored for drift, and confirmed drift drives a shadow retrain with
+// canary-gated promotion (or rollback) of the trainer's served snapshot.
+// Unset knobs take the loop's documented defaults. Close the loop before
+// discarding it.
 func NewLifecycle(t *Trainer, opts ...LifecycleOption) *Lifecycle {
 	var cfg LifecycleConfig
 	for _, o := range opts {
@@ -319,17 +317,9 @@ func WithCanaryTolerance(tol float64) LifecycleOption {
 	return func(c *LifecycleConfig) { c.CanaryTolerance = tol }
 }
 
-// WithStoreBounds caps the two bounded sample stores: the seeded long-tail
-// reservoir and the recent-submission ring.
-func WithStoreBounds(reservoir, ring int) LifecycleOption {
-	return func(c *LifecycleConfig) {
-		c.ReservoirCap = reservoir
-		c.RingCap = ring
-	}
-}
-
-// WithLifecycleSeed determinizes every loop decision: reservoir eviction,
-// canary splits, and cooldown jitter.
+// WithLifecycleSeed determinizes the loop's canary splits and cooldown
+// jitter. Reservoir eviction in the trainer's store is seeded by the
+// trainer's own Fitness.Seed.
 func WithLifecycleSeed(seed uint64) LifecycleOption {
 	return func(c *LifecycleConfig) { c.Seed = seed }
 }

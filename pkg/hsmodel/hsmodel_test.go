@@ -35,7 +35,7 @@ func TestOptionsApply(t *testing.T) {
 }
 
 // TestLifecycleOptionsApply pins the facade plumbing for the control loop:
-// options land in the controller, the stores honor their bounds, and the loop
+// options land in the controller, the store honors its bounds, and the loop
 // closes cleanly — all without any training machinery.
 func TestLifecycleOptionsApply(t *testing.T) {
 	lc := NewLifecycle(New(nil),
@@ -44,15 +44,11 @@ func TestLifecycleOptionsApply(t *testing.T) {
 		WithDriftThreshold(2.5),
 		WithMinProfiles(4),
 		WithCanaryTolerance(0.1),
-		WithStoreBounds(8, 3),
 		WithLifecycleSeed(21),
 	)
 	st := lc.Status()
 	if st.State != "stable" {
 		t.Fatalf("initial state %q, want stable", st.State)
-	}
-	if st.ReservoirCap != 8 || st.RingCap != 3 {
-		t.Errorf("store caps %d/%d, want 8/3 from WithStoreBounds", st.ReservoirCap, st.RingCap)
 	}
 
 	var s Sample
