@@ -140,8 +140,10 @@ func (c *Collector) workers() int {
 
 // profileShard returns the microarchitecture-independent profile of one
 // shard, cached: a shard profiled once is shared across every architecture
-// (Section 2.2's portability argument made concrete).
-func (c *Collector) profileShard(app *trace.App, shard int) profile.Characteristics {
+// (Section 2.2's portability argument made concrete). insts is the shard's
+// trace, already generated for the CPU simulator; on a cache miss it is
+// profiled as it stands rather than generated again.
+func (c *Collector) profileShard(app *trace.App, shard int, insts []isa.Inst) profile.Characteristics {
 	key := fmt.Sprintf("%s/%d/%d", app.Name, shard, c.shardLen())
 	c.mu.Lock()
 	if c.profiles == nil {
@@ -153,7 +155,7 @@ func (c *Collector) profileShard(app *trace.App, shard int) profile.Characterist
 	}
 	c.mu.Unlock()
 
-	p := profile.Stream(app.ShardStream(shard, c.shardLen()), app.Name, shard)
+	p := profile.Stream(&isa.SliceStream{Insts: insts}, app.Name, shard)
 
 	c.mu.Lock()
 	//hslint:ignore boundedgrowth memo keyed by the experiment's finite (app, shard, shardLen) universe, not by traffic
@@ -204,8 +206,9 @@ func (c *Collector) CollectPairs(apps []*trace.App, appIDs, shards []int, hws []
 }
 
 // run measures all requests. Requests are grouped by (application, shard)
-// so each shard's instruction trace is generated once and replayed for every
-// architecture — the in-memory analogue of the paper's portable profiles.
+// so each shard's instruction trace is generated once, profiled, and
+// replayed for every architecture — the in-memory analogue of the paper's
+// portable profiles.
 func (c *Collector) run(reqs []request) []Sample {
 	type groupKey struct {
 		appID, shard int
@@ -230,9 +233,9 @@ func (c *Collector) run(reqs []request) []Sample {
 			defer wg.Done()
 			defer func() { <-sem }()
 			r := reqs[idxs[0]]
-			insts := isa.Collect(r.app.ShardStream(r.shard, c.shardLen()), 0)
+			insts := isa.Collect(r.app.ShardStream(r.shard, c.shardLen()), c.shardLen())
+			x := c.profileShard(r.app, r.shard, insts)
 			ss := &isa.SliceStream{Insts: insts}
-			x := c.profileShard(r.app, r.shard)
 			for _, i := range idxs {
 				req := reqs[i]
 				ss.Reset()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"hsmodel/internal/cpu"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/hwspace"
 	"hsmodel/internal/profile"
@@ -103,6 +104,33 @@ func TestProfileCacheSharedAcrossArchitectures(t *testing.T) {
 	}
 	if math.Float64bits(samples[0].CPI) == math.Float64bits(samples[1].CPI) {
 		t.Error("different architectures should usually give different CPI")
+	}
+}
+
+// TestCollectMatchesGeneratorReference: every collected sample carries the
+// profile and the CPI obtained by reading the shard straight from its
+// generator, once for the profiler and once for the CPU simulator.
+func TestCollectMatchesGeneratorReference(t *testing.T) {
+	apps := smallApps()
+	col := smallCollector()
+	src := rng.New(7)
+	appIDs := []int{0, 1, 1, 2}
+	shards := []int{5, 11, 11, 0}
+	hws := make([]hwspace.Config, len(appIDs))
+	for i := range hws {
+		hws[i] = hwspace.FromIndices(hwspace.Sample(src))
+	}
+	got := col.CollectPairs(apps, appIDs, shards, hws)
+	for i, s := range got {
+		app := apps[appIDs[i]]
+		wantX := profile.Stream(app.ShardStream(shards[i], testShardLen), app.Name, shards[i]).X
+		wantCPI := cpu.New(hws[i]).Run(app.ShardStream(shards[i], testShardLen)).CPI()
+		if s.X != wantX {
+			t.Errorf("sample %d (%s shard %d): profile differs from the generator's", i, app.Name, shards[i])
+		}
+		if math.Float64bits(s.CPI) != math.Float64bits(wantCPI) {
+			t.Errorf("sample %d (%s shard %d): CPI %v, generator reference %v", i, app.Name, shards[i], s.CPI, wantCPI)
+		}
 	}
 }
 

@@ -45,42 +45,50 @@ func (e *mutatingEvaluator) Fitness(spec regress.Spec) float64 {
 // rung dies AFTER new samples arrived must not let the stepwise rung silently
 // refit over the grown store. Both rungs fit the capture taken at episode
 // start; the samples added mid-episode take effect at the next run. Run under
-// -race: concurrent feeders hammer AddSamples throughout the episode.
+// -race: concurrent feeders hammer AddSamples from the first fitness call to
+// the end of the episode. They start there, after the capture, because rows
+// added before the episode starts belong in its capture.
 func TestRetrainCapturesConsistentStore(t *testing.T) {
 	m := newSmallModeler(t)
 	initialRows := m.NumSamples()
 	late := smallCollector().Collect(smallApps(), 5, 99)
 
+	// Background feeders keep mutating the store for the rest of the
+	// episode once it has captured the store.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	startFeeders := func() {
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						m.AddSamples(late[:1])
+					}
+				}
+			}()
+		}
+	}
+
 	var inj *mutatingEvaluator
 	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
 		if inj == nil {
 			inj = &mutatingEvaluator{
-				inner:  inner,
-				add:    func() { m.AddSamples(late) },
+				inner: inner,
+				add: func() {
+					m.AddSamples(late)
+					startFeeders()
+				},
 				panics: 1, // kill the genetic rung once; stepwise then runs
 			}
 		} else {
 			inj.inner = inner
 		}
 		return inj
-	}
-
-	// Background feeders keep mutating the store for the whole episode.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-					m.AddSamples(late[:1])
-				}
-			}
-		}(g)
 	}
 
 	rep, err := m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 120})

@@ -95,9 +95,13 @@ func (s *SliceStream) Next(in *Inst) bool {
 func (s *SliceStream) Reset() { s.pos = 0 }
 
 // Collect drains up to max instructions from a stream into a slice.
-// A max of 0 collects everything.
+// A max of 0 collects everything. With max > 0 the slice is allocated once
+// with capacity max.
 func Collect(st Stream, max int) []Inst {
 	var out []Inst
+	if max > 0 {
+		out = make([]Inst, 0, max)
+	}
 	var in Inst
 	for st.Next(&in) {
 		out = append(out, in)

@@ -66,7 +66,16 @@ func TestCollect(t *testing.T) {
 		t.Fatalf("Collect(0) = %d insts", len(all))
 	}
 	some := Collect(&SliceStream{Insts: insts}, 4)
-	if len(some) != 4 || some[3].BrID != 3 {
-		t.Fatalf("Collect(4) wrong: %v", some)
+	if len(some) != 4 || cap(some) != 4 || some[3].BrID != 3 {
+		t.Fatalf("Collect(4) wrong: len %d cap %d %v", len(some), cap(some), some)
+	}
+	exact := Collect(&SliceStream{Insts: insts}, 10)
+	if len(exact) != 10 || cap(exact) != 10 || exact[9].BrID != 9 {
+		t.Fatalf("Collect(10) wrong: len %d cap %d", len(exact), cap(exact))
+	}
+	// A max beyond the stream still presizes to max and stops at the end.
+	short := Collect(&SliceStream{Insts: insts}, 16)
+	if len(short) != 10 || cap(short) != 16 {
+		t.Fatalf("Collect(16) wrong: len %d cap %d", len(short), cap(short))
 	}
 }

@@ -41,56 +41,79 @@ func (b *BCSR) FillRatio() float64 {
 // ToBCSR blocks m into r x c tiles. Rows and columns are implicitly padded
 // to multiples of r and c; padding never stores blocks because padded
 // regions hold no non-zeros.
+//
+// Conversion takes two passes over the matrix. Pass 1 counts the occupied
+// block columns of every block row, so BColIdx and Val are allocated once at
+// their final size. Pass 2 lists each block row's block columns in
+// ascending order and scatters the values into their dense blocks. Both
+// passes use dense arrays indexed by block column, so the allocation count
+// does not grow with the matrix.
 func ToBCSR(m *CSR, r, c int) *BCSR {
 	if r < 1 || c < 1 {
 		panic(fmt.Sprintf("spmv: invalid block size %dx%d", r, c))
 	}
 	b := &BCSR{Rows: m.Rows, Cols: m.Cols, R: r, C: c, OrigNNZ: m.NNZ()}
 	numBlockRows := (m.Rows + r - 1) / r
+	numBlockCols := (m.Cols + c - 1) / c
 	b.BRowStart = make([]int, numBlockRows+1)
 
-	// blockCols marks, per block row, which block columns are occupied.
-	// seenAt maps block column -> position in this block row's block list.
-	seenAt := make(map[int]int)
+	// mark[bj] == stamp says block column bj is already counted (pass 1) or
+	// listed (pass 2) in the current block row. Pass 1 stamps block row bi
+	// with bi+1 and pass 2 with numBlockRows+bi+1, so the marker is never
+	// cleared.
+	mark := make([]int, numBlockCols)
 	for bi := 0; bi < numBlockRows; bi++ {
-		// Pass 1: discover occupied block columns in ascending order.
-		for k := range seenAt {
-			delete(seenAt, k)
-		}
-		var cols []int
 		rowLo := bi * r
-		rowHi := rowLo + r
-		if rowHi > m.Rows {
-			rowHi = m.Rows
-		}
+		rowHi := min(rowLo+r, m.Rows)
+		n := 0
 		for i := rowLo; i < rowHi; i++ {
 			idx, _ := m.Row(i)
 			for _, j := range idx {
-				bj := j / c
-				if _, ok := seenAt[bj]; !ok {
-					seenAt[bj] = 0
-					cols = append(cols, bj)
+				if bj := j / c; mark[bj] != bi+1 {
+					mark[bj] = bi + 1
+					n++
+				}
+			}
+		}
+		b.BRowStart[bi+1] = b.BRowStart[bi] + n
+	}
+	numBlocks := b.BRowStart[numBlockRows]
+	b.BColIdx = make([]int, numBlocks)
+	b.Val = make([]float64, numBlocks*r*c)
+
+	// at[bj] is the position of block column bj in BColIdx for the current
+	// block row.
+	at := make([]int, numBlockCols)
+	for bi := 0; bi < numBlockRows; bi++ {
+		rowLo := bi * r
+		rowHi := min(rowLo+r, m.Rows)
+		base := b.BRowStart[bi]
+		cols := b.BColIdx[base:b.BRowStart[bi+1]]
+		stamp := numBlockRows + bi + 1
+		n := 0
+		for i := rowLo; i < rowHi; i++ {
+			idx, _ := m.Row(i)
+			for _, j := range idx {
+				if bj := j / c; mark[bj] != stamp {
+					mark[bj] = stamp
+					cols[n] = bj
+					n++
 				}
 			}
 		}
 		sortInts(cols)
-		base := len(b.BColIdx)
 		for pos, bj := range cols {
-			seenAt[bj] = base + pos
-			b.BColIdx = append(b.BColIdx, bj*c)
+			at[bj] = base + pos
+			cols[pos] = bj * c
 		}
-		b.Val = append(b.Val, make([]float64, len(cols)*r*c)...)
-
-		// Pass 2: scatter values into their dense blocks.
 		for i := rowLo; i < rowHi; i++ {
 			idx, vals := m.Row(i)
 			for k, j := range idx {
-				blk := seenAt[j/c]
+				blk := at[j/c]
 				off := blk*r*c + (i-rowLo)*c + (j - (j/c)*c)
 				b.Val[off] = vals[k]
 			}
 		}
-		b.BRowStart[bi+1] = len(b.BColIdx)
 	}
 	return b
 }

@@ -2,7 +2,9 @@ package spmv
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hsmodel/internal/cache"
 	"hsmodel/internal/rng"
@@ -89,22 +91,21 @@ func NewStudy(spec MatrixSpec) *Study {
 	return &Study{Spec: spec, M: spec.Generate(), blocked: make(map[[2]int]*BCSR)}
 }
 
-// Blocked returns the r x c BCSR variant, converting on first use.
+// Blocked returns the r x c BCSR variant, converting on first use. The lock
+// is held through the conversion, so concurrent first requests for one
+// variant convert it once and all get the same *BCSR.
 func (s *Study) Blocked(r, c int) *BCSR {
 	if r < 1 || r > MaxBlockDim || c < 1 || c > MaxBlockDim {
 		panic(fmt.Sprintf("spmv: block size %dx%d out of range", r, c))
 	}
 	key := [2]int{r, c}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	b, ok := s.blocked[key]
-	s.mu.Unlock()
-	if ok {
-		return b
+	if !ok {
+		b = ToBCSR(s.M, r, c)
+		s.blocked[key] = b
 	}
-	b = ToBCSR(s.M, r, c)
-	s.mu.Lock()
-	s.blocked[key] = b
-	s.mu.Unlock()
 	return b
 }
 
@@ -130,22 +131,38 @@ type Point struct {
 
 // Sample draws n uniform random (block size, cache architecture) points and
 // simulates each — the "400 sparsely sampled profiles" of Section 5.3.
+//
+// Every point is drawn from the seeded source first, in order, and its
+// variant converted then, so the fan-out only simulates. The simulations run
+// on GOMAXPROCS goroutines; each builds its own caches with deterministic
+// seeds and writes only its own point, so the result does not depend on
+// scheduling.
 func (s *Study) Sample(n int, seed uint64) []Point {
 	src := rng.New(seed)
 	points := make([]Point, n)
 	for k := range points {
 		r := 1 + src.Intn(MaxBlockDim)
 		c := 1 + src.Intn(MaxBlockDim)
-		cfg := SampleCacheConfig(src)
-		res := s.Simulate(r, c, cfg)
-		points[k] = Point{
-			R: r, C: c,
-			Fill:   s.FillRatio(r, c),
-			Cfg:    cfg,
-			MFlops: res.MFlops(),
-			Watts:  res.Watts(),
-			NJFlop: res.NJPerFlop(),
-		}
+		points[k] = Point{R: r, C: c, Fill: s.FillRatio(r, c), Cfg: SampleCacheConfig(src)}
 	}
+
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= n {
+					return
+				}
+				p := &points[k]
+				res := s.Simulate(p.R, p.C, p.Cfg)
+				p.MFlops, p.Watts, p.NJFlop = res.MFlops(), res.Watts(), res.NJPerFlop()
+			}
+		}()
+	}
+	wg.Wait()
 	return points
 }
